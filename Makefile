@@ -3,12 +3,12 @@
 # parallel-executor suite (`make par`), the crash-recovery suite
 # (`make crash`), the server suite (`make serve-race`), the short bench
 # smoke, the fuzz smoke and the docs smoke; `make bench` records the
-# perf trajectory into BENCH_pr9.json (one file per PR so regressions
-# are diffable).
+# perf trajectory into $(BENCH_OUT) (one file per PR so regressions
+# are diffable; `make bench-out` prints the name).
 
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr12.json
 
-.PHONY: all test vet race stress spill crash fuzz par serve-race bench bench-smoke docs-smoke
+.PHONY: all test vet race stress spill crash fuzz par serve-race bench bench-out bench-smoke docs-smoke
 
 all: test
 
@@ -25,12 +25,13 @@ vet:
 race:
 	go test -race ./...
 
-# The randomized reader/writer interleaving stress and the three-path
-# commit equivalence property test, by name, under the race detector —
-# the explicit CI gate for the copy-on-write commit pipeline (both also
-# run as part of `make race`).
+# The randomized reader/writer interleaving stress, the three-path
+# commit equivalence property test and the journal-scoped statement
+# invariant's equivalence to the full Validate, by name, under the race
+# detector — the explicit CI gate for the copy-on-write commit pipeline
+# (all also run as part of `make race`).
 stress:
-	go test -race -count=2 -run 'TestStoreReaderWriterStress|TestCommitPathsEquivalent|TestStoreConcurrentReadersSeeCommittedEpochsOnly' ./internal/graph
+	go test -race -count=2 -run 'TestStoreReaderWriterStress|TestCommitPathsEquivalent|TestStoreConcurrentReadersSeeCommittedEpochsOnly|TestValidateSinceMatchesValidate' ./internal/graph
 	go test -race -run 'TestConcurrent|TestSession' ./cypher
 
 # The spill suites under the race detector: forced-spill equivalence
@@ -98,6 +99,10 @@ bench:
 	cat bench.out
 	go run ./cmd/benchjson -in bench.out -out $(BENCH_OUT)
 	rm -f bench.out
+
+# The file `make bench` writes, so CI reads the name from one place.
+bench-out:
+	@echo $(BENCH_OUT)
 
 # One iteration of every benchmark: catches panics and broken bench
 # inputs on every push without CI paying for real measurement.

@@ -26,6 +26,7 @@
 //	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan- and match-heavy pipelines
 //	B20 served QPS: N concurrent wire clients vs one, shared plan cache across sessions
 //	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
+//	B22 end-to-end write latency through DB.Exec at 1k/10k/100k relationships
 package repro_test
 
 import (
@@ -940,6 +941,66 @@ func BenchmarkB21ExpressionPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// B22: end-to-end write latency against graph size. A one-node CREATE
+// and a one-relationship CREATE (endpoints found by index seek) go
+// through cypher.DB.Exec, so every iteration pays parsing, planning,
+// execution, the statement-boundary invariant and the commit. The
+// statements' own work is constant, so ns/op should stay flat from 1k
+// to 100k relationships; any per-statement O(graph) step shows up as
+// growth proportional to the graph.
+func BenchmarkB22WriteLatencyVsGraphSize(b *testing.B) {
+	for _, rels := range []int{1000, 10000, 100000} {
+		// A ring of rels :P nodes, one :L relationship per node.
+		g := graph.New()
+		g.CreateIndex("P", "id")
+		for i := 0; i < rels; i++ {
+			g.CreateNode([]string{"P"}, value.Map{"id": value.Int(int64(i))})
+		}
+		ids := g.NodeIDs()
+		for i, id := range ids {
+			if _, err := g.CreateRel(id, ids[(i+1)%len(ids)], "L", nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		db, err := cypher.Load(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name, query string
+			params      func(i int) map[string]any
+		}{
+			{"create-node", `CREATE (:N{i:$i})`,
+				func(i int) map[string]any { return map[string]any{"i": i} }},
+			{"create-rel", `MATCH (a:P{id:$a}), (b:P{id:$b}) CREATE (a)-[:W]->(b)`,
+				func(i int) map[string]any { return map[string]any{"a": i % rels, "b": (i * 7) % rels} }},
+		} {
+			b.Run(fmt.Sprintf("%s/rels=%d", c.name, rels), func(b *testing.B) {
+				// One untimed run fills the statement and plan caches,
+				// which -benchtime 10x would otherwise mostly measure.
+				if _, err := db.Exec(c.query, c.params(rels)); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := db.Exec(c.query, c.params(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st := res.Stats(); st.NodesCreated+st.RelsCreated != 1 {
+						b.Fatalf("%s created %+v, want one entity", c.name, st)
+					}
+				}
+			})
+		}
 	}
 }
 

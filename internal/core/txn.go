@@ -149,7 +149,7 @@ func (s *Session) executeInTxn(stmt *ast.Statement, params map[string]value.Valu
 	// single-writer baton and journal discipline stay untouched.
 	res, err := s.e.executeUnionPar(g, stmt, params, t0, 1)
 	if err == nil {
-		err = statementInvariant(g)
+		err = statementInvariant(j, mark)
 	}
 	if err != nil {
 		j.RollbackTo(mark)
@@ -175,7 +175,7 @@ func (s *Session) executeAutoCommit(stmt *ast.Statement, params map[string]value
 	w := s.store.BeginWrite()
 	res, err := s.e.executeUnion(w.Graph(), stmt, params, t0)
 	if err == nil {
-		err = statementInvariant(w.Graph())
+		err = statementInvariant(w.Journal(), 0)
 	}
 	if err != nil {
 		w.Rollback()

@@ -218,10 +218,10 @@ func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, t *table.Table) (*tabl
 
 // execDeleteLegacy deletes entities immediately per record. Deleting a
 // node with attached relationships leaves them dangling mid-statement
-// (Section 4.2's "illegal state"); the statement-end Validate in
-// ExecuteWithTable plays the role of Neo4j's commit-time check. Deleted
-// entities remain referenced by the driving table, which is how the
-// Section 4.2 query can go on to SET and RETURN a deleted node.
+// (Section 4.2's "illegal state"); the statement-end statementInvariant
+// plays the role of Neo4j's commit-time check. Deleted entities remain
+// referenced by the driving table, which is how the Section 4.2 query
+// can go on to SET and RETURN a deleted node.
 func (x *executor) execDeleteLegacy(cl *ast.DeleteClause, t *table.Table) (*table.Table, error) {
 	for _, i := range x.rowOrder(t) {
 		env := expr.Env(t.Row(i))

@@ -9,7 +9,8 @@
 // exist (Section 2 of the paper). The legacy Cypher 9 execution mode
 // deliberately suspends this invariant mid-statement (Section 4.2); the
 // store supports that through the unchecked deletion entry points, and
-// exposes Validate to re-check the invariant.
+// exposes Validate (whole graph) and Journal.ValidateSince (only what a
+// journal removed) to re-check the invariant.
 //
 // The package also provides:
 //   - deltas (ChangeSet) implementing the revised two-phase atomic update
@@ -513,16 +514,27 @@ func (e *DanglingError) Error() string {
 }
 
 // Validate checks the structural invariant that every relationship's
-// endpoints exist, returning the first violation found.
+// endpoints exist, returning the first violation found: the lowest
+// relationship id, its source checked before its target. It walks the
+// whole graph; statement boundaries use the O(changes) equivalent,
+// Journal.ValidateSince.
 func (g *Graph) Validate() error {
 	for _, id := range g.RelIDs() {
-		r := g.Rel(id)
-		if !g.HasNode(r.Src) {
-			return fmt.Errorf("graph: relationship %d has dangling source %d", r.ID, r.Src)
+		if err := g.checkEndpoints(g.Rel(id)); err != nil {
+			return err
 		}
-		if !g.HasNode(r.Tgt) {
-			return fmt.Errorf("graph: relationship %d has dangling target %d", r.ID, r.Tgt)
-		}
+	}
+	return nil
+}
+
+// checkEndpoints reports r's first missing endpoint, source before
+// target, or nil when both exist.
+func (g *Graph) checkEndpoints(r *Rel) error {
+	if !g.HasNode(r.Src) {
+		return fmt.Errorf("graph: relationship %d has dangling source %d", r.ID, r.Src)
+	}
+	if !g.HasNode(r.Tgt) {
+		return fmt.Errorf("graph: relationship %d has dangling target %d", r.ID, r.Tgt)
 	}
 	return nil
 }

@@ -56,6 +56,41 @@ func (j *Journal) RollbackTo(mark int) {
 	j.entries = j.entries[:mark]
 }
 
+// ValidateSince re-checks the no-dangling-relationships invariant in
+// O(changes since mark) rather than O(graph), and reports exactly what
+// Graph.Validate would: the lowest dangling relationship id, source
+// before target, with the same message.
+//
+// It requires the invariant to have held when mark was taken. Then only
+// a node removal recorded since mark can have stranded a relationship:
+// CreateRel checks both endpoints, codec decode and WAL replay reject
+// dangling endpoints, and undo (including RollbackTo, which also drops
+// the undone entries) only restores an earlier state. Every removal
+// under a journal records an undoDeleteNode, and removeNodeInternal
+// keeps a removed node's non-empty adjacency rows, so the dangling
+// relationships are exactly those still listed in the rows of removed
+// nodes that remain absent.
+func (j *Journal) ValidateSince(mark int) error {
+	g := j.g
+	var first *Rel
+	for _, e := range j.entries[mark:] {
+		d, ok := e.(undoDeleteNode)
+		if !ok || g.HasNode(d.node.ID) {
+			continue
+		}
+		for _, m := range [...]*idMap[*adjRow]{&g.outgoing, &g.incoming} {
+			// Rows are sorted, so a row's lowest id is its first.
+			if ids := adjIDs(m, d.node.ID); len(ids) > 0 && (first == nil || ids[0] < first.ID) {
+				first = g.Rel(ids[0])
+			}
+		}
+	}
+	if first == nil {
+		return nil
+	}
+	return g.checkEndpoints(first)
+}
+
 // Commit detaches the journal, keeping all mutations.
 func (j *Journal) Commit() {
 	j.g.journal = nil

@@ -408,3 +408,32 @@ func TestPlanCacheReplansOnStatsDrift(t *testing.T) {
 		t.Fatalf("matches = %d, want 1", len(res))
 	}
 }
+
+// TestPlanCacheEvictsLeastRecentlyUsed: a full shared cache evicts the
+// least recently used entry, where a lookup hit counts as a use, and
+// stays at its bound.
+func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	g := graph.New()
+	m := matcher(g)
+	c := NewPlanCache()
+	keys := make([]planCacheKey, planCacheMaxEntries+1)
+	for i := range keys {
+		keys[i] = planCacheKey{n: i}
+	}
+	plans := []partPlan{{}}
+	for _, k := range keys[:planCacheMaxEntries] {
+		c.store(k, plans, nil, g.Version(), g.IndexEpoch())
+	}
+	if c.lookup(m, keys[0], nil, nil) == nil {
+		t.Fatal("oldest entry missing before eviction")
+	}
+	c.store(keys[planCacheMaxEntries], plans, nil, g.Version(), g.IndexEpoch())
+	if n := c.Stats().Entries; n != planCacheMaxEntries {
+		t.Fatalf("entries = %d, want %d", n, planCacheMaxEntries)
+	}
+	for i, want := range map[int]bool{0: true, 1: false, 2: true, planCacheMaxEntries: true} {
+		if got := c.lookup(m, keys[i], nil, nil) != nil; got != want {
+			t.Errorf("key %d cached = %v, want %v", i, got, want)
+		}
+	}
+}
