@@ -6,7 +6,7 @@
 # perf trajectory into $(BENCH_OUT) (one file per PR so regressions
 # are diffable; `make bench-out` prints the name).
 
-BENCH_OUT ?= BENCH_pr12.json
+BENCH_OUT ?= BENCH_pr13.json
 
 .PHONY: all test vet race stress spill crash fuzz par serve-race bench bench-out bench-smoke docs-smoke
 

@@ -27,6 +27,7 @@
 //	B20 served QPS: N concurrent wire clients vs one, shared plan cache across sessions
 //	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
 //	B22 end-to-end write latency through DB.Exec at 1k/10k/100k relationships
+//	B23 one served statement's wire round trip: point lookup and a 100-row read
 package repro_test
 
 import (
@@ -811,22 +812,7 @@ func BenchmarkB20ServerConcurrentClients(b *testing.B) {
 	if _, err := db.Exec(`CREATE INDEX ON :User(id)`, nil); err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(db, server.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			b.Fatal(err)
-		}
-		<-done
-	}()
-	addr := ln.Addr().String()
+	addr := serveBench(b, db)
 
 	const q = `MATCH (u:User{id:$i}) RETURN u.name AS name`
 	for _, clients := range []int{1, 2, 4, 8} {
@@ -881,6 +867,27 @@ func BenchmarkB20ServerConcurrentClients(b *testing.B) {
 			}
 		})
 	}
+}
+
+// serveBench serves db on a loopback port for the rest of the benchmark
+// and returns the address.
+func serveBench(b *testing.B, db *cypher.DB) string {
+	srv := server.New(db, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			b.Error(err)
+		}
+		<-done
+	})
+	return ln.Addr().String()
 }
 
 // B21: expression-heavy read pipelines over 100k rows — string and
@@ -1001,6 +1008,51 @@ func BenchmarkB22WriteLatencyVsGraphSize(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// B23: the fixed cost of one served statement. One in-process server,
+// one cypherclient connection, one statement at a time: an indexed
+// point lookup (one row, so the wire and per-statement buffers are most
+// of the cost) and a 100-row read of 100 index seeks (the rows come
+// back in the run's own reply, one round trip). With -benchmem the
+// allocation columns show client, server and engine together.
+func BenchmarkB23WireRoundTrip(b *testing.B) {
+	const n = 20000
+	db := cypher.Open()
+	if _, err := db.Exec(`UNWIND range(0, `+fmt.Sprint(n-1)+`) AS i CREATE (:User{id:i, name:'u' + toString(i), age: i % 100})`, nil); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec(`CREATE INDEX ON :User(id)`, nil); err != nil {
+		b.Fatal(err)
+	}
+	c, err := cypherclient.Dial(serveBench(b, db))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range []struct {
+		name, query string
+		rows        int
+		params      func(i int) map[string]any
+	}{
+		{"point-lookup", `MATCH (u:User{id:$i}) RETURN u.name AS name`, 1,
+			func(i int) map[string]any { return map[string]any{"i": i * 7919 % n} }},
+		{"read-100-rows", `UNWIND range($lo, $lo + 99) AS i MATCH (u:User{id:i}) RETURN u.id AS id, u.age AS age`, 100,
+			func(i int) map[string]any { return map[string]any{"lo": i * 7919 % (n - 100)} }},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Exec(q.query, q.params(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) != q.rows {
+					b.Fatalf("%s: %d rows, want %d", q.name, len(res.Rows), q.rows)
+				}
+			}
+		})
 	}
 }
 

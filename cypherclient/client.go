@@ -8,6 +8,11 @@
 // concurrent use; open one Conn per goroutine (mirroring the one
 // session per connection model of the server).
 //
+// Every run asks for its first rows inline (n = 4096 on the run
+// message), so a statement whose result fits in one page costs one
+// round trip; larger results continue with PULL until the server
+// reports no more. Each frame goes out in one Write.
+//
 //	c, err := cypherclient.Dial("127.0.0.1:7777")
 //	res, err := c.Exec(`MATCH (n:User) WHERE n.id = $id RETURN n.name`,
 //	    map[string]any{"id": 42})
@@ -36,7 +41,8 @@ type Value = value.Value
 // maxFrame bounds reply frames the client will accept.
 const maxFrame = 64 << 20
 
-// pullBatch is how many rows one PULL requests.
+// pullBatch is how many rows a run returns inline and one PULL
+// requests.
 const pullBatch = 4096
 
 // ServerError is a failure frame from the server, carrying its
@@ -84,6 +90,7 @@ type Result struct {
 type Conn struct {
 	nc      net.Conn
 	r       *bufio.Reader
+	wbuf    bytes.Buffer // frame encoding buffer, reused across requests
 	server  string
 	dialect string
 }
@@ -147,7 +154,7 @@ func (c *Conn) run(query string, params map[string]any, mode string) (*Result, e
 }
 
 func (c *Conn) runFull(query string, params map[string]any, mode string) (*Result, string, error) {
-	msg := map[string]any{"type": "run", "query": query}
+	msg := map[string]any{"type": "run", "query": query, "n": pullBatch}
 	if mode != "" {
 		msg["mode"] = mode
 	}
@@ -184,11 +191,8 @@ func (c *Conn) runFull(query string, params map[string]any, mode string) (*Resul
 		}
 		res.Columns = append(res.Columns, s)
 	}
+	// The run's reply carries the first page; PULL fetches the rest.
 	for {
-		reply, err := c.roundTrip(map[string]any{"type": "pull", "n": pullBatch})
-		if err != nil {
-			return nil, "", err
-		}
 		rows, _ := reply["rows"].([]any)
 		for _, r := range rows {
 			raw, ok := r.([]any)
@@ -206,10 +210,12 @@ func (c *Conn) runFull(query string, params map[string]any, mode string) (*Resul
 			res.Rows = append(res.Rows, row)
 		}
 		if more, _ := reply["more"].(bool); !more {
-			break
+			return res, plan, nil
+		}
+		if reply, err = c.roundTrip(map[string]any{"type": "pull", "n": pullBatch}); err != nil {
+			return nil, "", err
 		}
 	}
-	return res, plan, nil
 }
 
 // Begin opens an explicit transaction on the server session.
@@ -269,17 +275,18 @@ func (c *Conn) roundTrip(msg map[string]any) (map[string]any, error) {
 	}
 }
 
+// writeFrame sends header and body in one Write. The body is
+// json.Marshal's output: the Encoder's trailing newline is cut.
 func (c *Conn) writeFrame(msg map[string]any) error {
-	body, err := json.Marshal(msg)
-	if err != nil {
+	c.wbuf.Reset()
+	c.wbuf.Write([]byte{0, 0, 0, 0})
+	if err := json.NewEncoder(&c.wbuf).Encode(msg); err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = c.nc.Write(body)
+	c.wbuf.Truncate(c.wbuf.Len() - 1)
+	frame := c.wbuf.Bytes()
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := c.nc.Write(frame)
 	return err
 }
 
@@ -524,7 +531,12 @@ func decodeStats(raw any) UpdateStats {
 		return UpdateStats{}
 	}
 	n := func(key string) int {
-		i, err := intFromJSON(m[key])
+		raw, ok := m[key]
+		if !ok {
+			// Zero counters are omitted; no error to build.
+			return 0
+		}
+		i, err := intFromJSON(raw)
 		if err != nil {
 			return 0
 		}

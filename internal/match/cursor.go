@@ -16,6 +16,10 @@ import (
 // Buffering environments across resumes is safe: Stream extends the
 // seed environment through Env.With, which copies, so every yielded
 // environment is a distinct map.
+//
+// The first buffer starts at cursorStartCap and grows by append, so an
+// enumeration of one match (a point lookup) does not pay for max
+// slots; once a full slice has been yielded the next starts at max.
 type Cursor struct {
 	next    func() ([]expr.Env, bool)
 	stop    func()
@@ -34,6 +38,9 @@ func (m *Matcher) NewCursor(parts []*ast.PatternPart, env expr.Env, max int, fil
 	}, max, filter)
 }
 
+// cursorStartCap is the capacity of a cursor's first buffer.
+const cursorStartCap = 4
+
 // newCursor adapts any push-style enumeration to the Cursor pull
 // discipline (NewCursor and NewAnchorCursor share it).
 func newCursor(stream func(yield func(expr.Env) error) error, max int, filter func(expr.Env) (bool, error)) *Cursor {
@@ -42,7 +49,7 @@ func newCursor(stream func(yield func(expr.Env) error) error, max int, filter fu
 	}
 	errp := new(error)
 	seq := func(yield func([]expr.Env) bool) {
-		buf := make([]expr.Env, 0, max)
+		buf := make([]expr.Env, 0, min(max, cursorStartCap))
 		*errp = stream(func(me expr.Env) error {
 			if filter != nil {
 				keep, err := filter(me)

@@ -30,10 +30,18 @@ type Batch struct {
 	n    int
 }
 
-func newBatch(cols []string, capacity int) *Batch {
+// newBatch makes an empty batch over cols with room for rows rows.
+// Every operator follows one sizing rule: a batch is created only once
+// its first row is in hand, and rows counts the rows the operator then
+// holds for it — the enumeration slice, the remaining input rows, the
+// rows a barrier still has to replay — capped at the pull's max. No
+// column reserves room for rows that may never exist, so an exhausted
+// pull allocates nothing and a one-row result holds one row; a batch
+// that outgrows the count grows by append.
+func newBatch(cols []string, rows int) *Batch {
 	b := &Batch{cols: cols, vals: make([][]value.Value, len(cols))}
 	for j := range b.vals {
-		b.vals[j] = make([]value.Value, 0, capacity)
+		b.vals[j] = make([]value.Value, 0, rows)
 	}
 	return b
 }
@@ -298,13 +306,13 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 // max so a LIMIT above still bounds enumeration.
 func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, max)
-	for out.n < max {
+	var out *Batch
+	for out == nil || out.n < max {
 		if len(o.bbuf) > 0 {
-			take := max - out.n
-			if take > len(o.bbuf) {
-				take = len(o.bbuf)
+			if out == nil {
+				out = newBatch(o.cols, min(max, len(o.bbuf)+o.bin.n-o.binIdx))
 			}
+			take := min(max-out.n, len(o.bbuf))
 			for _, me := range o.bbuf[:take] {
 				out.appendEnv(me)
 				o.emitted++
@@ -346,11 +354,14 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 			return nil, false, err
 		}
 		if optional {
+			if out == nil {
+				out = newBatch(o.cols, min(max, 1+o.bin.n-o.binIdx))
+			}
 			// appendEnv fills the unbound pattern variables with nulls.
 			out.appendEnv(o.curRow)
 		}
 	}
-	if out.n == 0 {
+	if out == nil {
 		return nil, false, nil
 	}
 	o.rows += int64(out.n)
@@ -384,14 +395,14 @@ func (o *Match) whereFilter() func(expr.Env) (bool, error) {
 // value unwinds as a single element.
 func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, max)
+	var out *Batch
 	nchild := len(o.cols) - 1
-	for out.n < max {
+	for out == nil || out.n < max {
 		if o.idx < len(o.elems) {
-			take := len(o.elems) - o.idx
-			if take > max-out.n {
-				take = max - out.n
+			if out == nil {
+				out = newBatch(o.cols, min(max, len(o.elems)-o.idx+o.bin.n-o.binIdx))
 			}
+			take := min(len(o.elems)-o.idx, max-out.n)
 			for k := 0; k < take; k++ {
 				for j := 0; j < nchild; j++ {
 					out.vals[j] = append(out.vals[j], o.bin.vals[j][o.bcur])
@@ -440,7 +451,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 			o.elems, o.idx = value.List{v}, 0
 		}
 	}
-	if out.n == 0 {
+	if out == nil {
 		return nil, false, nil
 	}
 	o.rows += int64(out.n)
@@ -455,15 +466,19 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 // mid-file exactly as in the row path.
 func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, max)
+	var out *Batch
 	nchild := len(o.cols) - 1
-	for out.n < max {
+	for out == nil || out.n < max {
 		if o.reader != nil {
 			v, ok, err := o.reader.Next()
 			if err != nil {
 				return nil, false, err
 			}
 			if ok {
+				if out == nil {
+					// The file's row count is unknown until it is read.
+					out = newBatch(o.cols, 1)
+				}
 				for j := 0; j < nchild; j++ {
 					out.vals[j] = append(out.vals[j], o.bin.vals[j][o.bcur])
 				}
@@ -512,7 +527,7 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 		o.binIdx++
 		o.reader = r
 	}
-	if out.n == 0 {
+	if out == nil {
 		return nil, false, nil
 	}
 	o.rows += int64(out.n)
@@ -688,9 +703,16 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		}
 		o.filled = true
 	}
-	max = clampMax(max)
-	b := newBatch(o.Columns(), max)
-	for b.n < max {
+	left := len(o.mem) - o.memIdx
+	if o.merged != nil {
+		left = o.merged.left
+	}
+	if left == 0 {
+		return nil, false, nil
+	}
+	want := min(clampMax(max), left)
+	b := newBatch(o.Columns(), want)
+	for b.n < want {
 		r, ok, err := o.next1()
 		if err != nil {
 			return nil, false, err
@@ -699,9 +721,6 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 			break
 		}
 		b.appendVals(r.vals)
-	}
-	if b.n == 0 {
-		return nil, false, nil
 	}
 	o.rows += int64(b.n)
 	o.batches++
@@ -721,7 +740,7 @@ func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 		return nil, false, nil
 	}
 	max = clampMax(max)
-	b := newBatch(o.cols, max)
+	b := newBatch(o.cols, min(max, len(o.out)-o.idx))
 	for b.n < max && o.idx < len(o.out) {
 		b.appendEnv(o.out[o.idx])
 		o.idx++

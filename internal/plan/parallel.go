@@ -294,13 +294,13 @@ func (o *anchorScan) Open() error { return o.st.open("AnchorScan") }
 // NextBatch implements Operator.
 func (o *anchorScan) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.src.cols, max)
-	for out.n < max && !o.done {
+	var out *Batch
+	for (out == nil || out.n < max) && !o.done {
 		if len(o.buf) > 0 {
-			take := max - out.n
-			if take > len(o.buf) {
-				take = len(o.buf)
+			if out == nil {
+				out = newBatch(o.src.cols, min(max, len(o.buf)))
 			}
+			take := min(max-out.n, len(o.buf))
 			for _, me := range o.buf[:take] {
 				out.appendEnv(me)
 			}
@@ -332,7 +332,7 @@ func (o *anchorScan) NextBatch(max int) (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	if out.n == 0 {
+	if out == nil {
 		return nil, false, nil
 	}
 	o.rows += int64(out.n)

@@ -278,10 +278,14 @@ func (st *spillStream) next() (spillRow, bool, error) {
 
 func (st *spillStream) close() { st.sf.discard() }
 
+func (st *spillStream) len() int { return st.remaining }
+
 // mergeSource is one pre-sorted input of a k-way merge.
 type mergeSource interface {
 	next() (spillRow, bool, error)
 	close()
+	// len reports the rows not yet returned by next.
+	len() int
 }
 
 // memStream replays an in-memory (already sorted) run.
@@ -301,6 +305,8 @@ func (m *memStream) next() (spillRow, bool, error) {
 
 func (m *memStream) close() {}
 
+func (m *memStream) len() int { return len(m.rows) - m.i }
+
 // runMerger merges pre-sorted sources into one stream under less.
 // Sources are closed (removing their files) the moment they exhaust.
 // The source count is small — bounded by maxMergeWidth plus one — so a
@@ -310,11 +316,15 @@ type runMerger struct {
 	heads []spillRow
 	live  []bool
 	less  func(a, b spillRow) bool
+	left  int // rows not yet returned by next
 }
 
 // newRunMerger primes every source; on error all sources are closed.
 func newRunMerger(srcs []mergeSource, less func(a, b spillRow) bool) (*runMerger, error) {
 	m := &runMerger{srcs: srcs, heads: make([]spillRow, len(srcs)), live: make([]bool, len(srcs)), less: less}
+	for _, s := range srcs {
+		m.left += s.len()
+	}
 	for i, s := range srcs {
 		r, ok, err := s.next()
 		if err != nil {
@@ -345,6 +355,7 @@ func (m *runMerger) next() (spillRow, bool, error) {
 		return spillRow{}, false, nil
 	}
 	out := m.heads[best]
+	m.left--
 	r, ok, err := m.srcs[best].next()
 	if err != nil {
 		return spillRow{}, false, err
@@ -1144,9 +1155,12 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	max = clampMax(max)
-	b := newBatch(o.dcols, max)
-	for b.n < max {
+	if o.merged.left == 0 {
+		return nil, false, nil
+	}
+	want := min(clampMax(max), o.merged.left)
+	b := newBatch(o.dcols, want)
+	for b.n < want {
 		r, ok, err := o.merged.next()
 		if err != nil {
 			return nil, false, err
@@ -1155,9 +1169,6 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			break
 		}
 		b.appendVals(r.vals)
-	}
-	if b.n == 0 {
-		return nil, false, nil
 	}
 	o.rows += int64(b.n)
 	o.batches++

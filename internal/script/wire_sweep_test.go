@@ -237,6 +237,9 @@ func TestWireValueExtremes(t *testing.T) {
 		`RETURN 'héllo wörld 👋' AS s, [1, null, [2.5, 'x']] AS nested, {a: null, b: [true]} AS m`,
 		`MATCH (a:E{id:1})-[r:R]->(b:E{id:2}) RETURN a, r, b`,
 		`MATCH p = (a:E{id:1})-[:R]->(:E) RETURN p`,
+		// More rows than the client's page (4096 inline with the run),
+		// so continuation PULLs must reassemble the result exactly.
+		`UNWIND range(1, 10000) AS i RETURN i, toFloat(i) / 3.0 AS f, CASE WHEN i % 97 = 0 THEN null ELSE 'r' + toString(i) END AS s`,
 	}
 	for _, q := range queries {
 		embRes, embErr := sess.Exec(q, nil)

@@ -14,11 +14,16 @@ import (
 // The server is drained when the test ends.
 func startServer(t *testing.T, db *cypher.DB, opts Options) (*Server, string) {
 	t.Helper()
-	srv := New(db, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startServerOn(t, New(db, opts), ln)
+}
+
+// startServerOn serves srv on ln until the test ends.
+func startServerOn(t *testing.T, srv *Server, ln net.Listener) (*Server, string) {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -150,10 +155,16 @@ func TestConformanceScripts(t *testing.T) {
 			},
 		},
 		{
+			// A run without n sends no rows: all of them wait for PULL.
 			name: "pull-paging",
 			steps: []step{
 				hello,
-				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS x RETURN x"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS x RETURN x"}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if len(got.Columns) != 1 || len(got.Rows) != 0 || got.More {
+							t.Errorf("columns = %v rows = %d more = %v", got.Columns, len(got.Rows), got.More)
+						}
+					}},
 				{send: &Message{Type: MsgPull, N: 2}, wantType: MsgSuccess,
 					check: func(t *testing.T, got *Message) {
 						if len(got.Rows) != 2 || !got.More {
@@ -296,6 +307,112 @@ func TestConformanceScripts(t *testing.T) {
 				hello,
 				{send: &Message{Type: MsgRun, Query: "RETURN $x",
 					Params: map[string]WireValue{"x": {FloatS: "bogus"}}}, wantType: MsgFailure, wantCode: CodeInvalidParameter},
+			},
+		},
+		{
+			// Every RUN drops the previous result's unsent rows, also
+			// when it fails before executing or is transaction control.
+			name: "run-drops-previous-result",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS i RETURN i"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "MATCH (n RETURN n"}, wantType: MsgFailure, wantCode: CodeSyntaxError},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS i RETURN i"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "RETURN $x",
+					Params: map[string]WireValue{"x": {FloatS: "bogus"}}}, wantType: MsgFailure, wantCode: CodeInvalidParameter},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS i RETURN i"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "BEGIN"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS i RETURN i"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "ROLLBACK"}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-n-returns-first-page-inline",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,3) AS x RETURN x", N: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if len(got.Columns) != 1 || got.Columns[0] != "x" || got.Stats == nil {
+							t.Errorf("columns = %v stats = %v", got.Columns, got.Stats)
+						}
+						wantInts(t, got.Rows, 1, 2, 3)
+						if got.More {
+							t.Error("more = true for a result that fits in n")
+						}
+					}},
+				// The whole result went out with the run: nothing to pull.
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-n-pages-the-rest",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS x RETURN x", N: 2}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						wantInts(t, got.Rows, 1, 2)
+						if !got.More {
+							t.Error("more = false with rows left")
+						}
+					}},
+				{send: &Message{Type: MsgPull, N: 2}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						wantInts(t, got.Rows, 3, 4)
+						if !got.More {
+							t.Error("more = false with rows left")
+						}
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						wantInts(t, got.Rows, 5)
+						if got.More {
+							t.Error("more = true after the last row")
+						}
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-n-explain-has-no-rows",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,3) AS x RETURN x", Mode: "explain", N: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if got.Plan == "" || len(got.Columns) != 0 || len(got.Rows) != 0 || got.More {
+							t.Errorf("explain reply = %+v", got)
+						}
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-n-profile-returns-plan-and-rows",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND [1,2] AS x RETURN x", Mode: "profile", N: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if got.Plan == "" {
+							t.Error("profile returned empty plan")
+						}
+						wantInts(t, got.Rows, 1, 2)
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			// A failing run with n gets one failure frame: the next reply
+			// answers the next request.
+			name: "run-n-failure-is-one-frame",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "RETURN 1/0 AS x", N: 10}, wantType: MsgFailure, wantCode: CodeExecutionError},
+				{send: &Message{Type: MsgRun, Query: "MATCH (", N: 10}, wantType: MsgFailure, wantCode: CodeSyntaxError},
+				{send: &Message{Type: MsgRun, Query: "RETURN 2 AS x", N: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) { wantInts(t, got.Rows, 2) }},
 			},
 		},
 	}
@@ -488,6 +605,19 @@ func TestConformanceServerBusy(t *testing.T) {
 	w2.send(&Message{Type: MsgRun, Query: "CREATE (:B)"})
 	if got := w2.recv(); got.Type != MsgSuccess {
 		t.Fatalf("write after release: %+v", got)
+	}
+}
+
+// wantInts checks a page of one-column integer rows.
+func wantInts(t *testing.T, rows [][]WireValue, want ...int64) {
+	t.Helper()
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		if len(rows[i]) != 1 || rows[i][0].Int == nil || *rows[i][0].Int != w {
+			t.Fatalf("row %d = %+v, want %d", i, rows[i], w)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -23,18 +25,28 @@ type conn struct {
 	helloed   bool
 	writeSlot bool // holds a writer-admission slot across an explicit txn
 	pending   *pendingResult
+	wbuf      bytes.Buffer // frame encoding buffer, reused across replies
 }
 
-// pendingResult buffers a run's rows between RUN and PULL.
+// pendingResult holds a run's rows not yet sent; next is the first.
 type pendingResult struct {
-	cols []string
-	rows [][]cypher.Value
+	res  *cypher.Result
 	next int
 }
 
-// serve runs the connection until it closes or errors.
+// maxKeptWriteBuf caps the encoding buffer a connection keeps between
+// replies, so one large result does not pin its frame's memory.
+const maxKeptWriteBuf = 64 << 10
+
+// serve runs the connection until it closes or errors. Frames are read
+// through one buffered reader, so a small frame costs one read syscall
+// and pipelined frames are served from the buffer. The deadlines act on
+// the socket reads beneath it: the idle timeout fires only when no
+// complete frame is buffered, and a drain kick is seen at the draining
+// check at the top of the loop even when one is.
 func (c *conn) serve() {
 	defer c.cleanup()
+	br := bufio.NewReader(c.nc)
 	for {
 		if c.srv.isDraining() {
 			return
@@ -42,7 +54,7 @@ func (c *conn) serve() {
 		if t := c.srv.opts.IdleTimeout; t > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(t))
 		}
-		msg, err := ReadFrame(c.nc, c.srv.opts.MaxFrame)
+		msg, err := ReadFrame(br, c.srv.opts.MaxFrame)
 		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF):
@@ -96,8 +108,11 @@ func (c *conn) dispatch(msg *Message) bool {
 	}
 }
 
-// handleRun classifies, schedules and executes one statement.
+// handleRun classifies, schedules and executes one statement. The
+// previous statement's unsent rows are dropped first, so no failure
+// below can leave them pullable.
 func (c *conn) handleRun(msg *Message) bool {
+	c.pending = nil
 	if c.srv.isDraining() {
 		return c.send(failure(CodeServerDraining, "server is shutting down"))
 	}
@@ -117,7 +132,6 @@ func (c *conn) handleRun(msg *Message) bool {
 	if err != nil {
 		return c.send(failure(CodeInvalidParameter, err.Error()))
 	}
-	c.pending = nil
 
 	// Backpressure: an updating auto-commit statement claims a
 	// writer-admission slot for its duration. Inside an explicit
@@ -176,11 +190,15 @@ func (c *conn) handleRun(msg *Message) bool {
 	if o.res != nil {
 		reply.Columns = o.res.Columns()
 		reply.Stats = statsToWire(o.res.Stats())
-		pr := &pendingResult{cols: reply.Columns}
-		for i := 0; i < o.res.NumRows(); i++ {
-			pr.rows = append(pr.rows, o.res.Values(i))
+		c.pending = &pendingResult{res: o.res}
+		if msg.N > 0 {
+			// Encoding a value cannot fail for engine results; if it
+			// did, the connection closes as on a failed pull.
+			if reply.Rows, reply.More, err = c.page(msg.N); err != nil {
+				c.send(failure(CodeExecutionError, err.Error()))
+				return false
+			}
 		}
-		c.pending = pr
 	}
 	return c.send(reply)
 }
@@ -190,31 +208,42 @@ func (c *conn) handlePull(msg *Message) bool {
 	if c.pending == nil {
 		return c.send(failure(CodeNoPendingResult, "no statement result to pull"))
 	}
+	rows, more, err := c.page(msg.N)
+	if err != nil {
+		c.send(failure(CodeExecutionError, err.Error()))
+		return false
+	}
+	return c.send(&Message{Type: MsgSuccess, Rows: rows, More: more})
+}
+
+// page encodes up to n of the pending rows (n <= 0: all of them) and
+// reports whether more remain; the result is dropped once it is fully
+// sent.
+func (c *conn) page(n int) ([][]WireValue, bool, error) {
 	pr := c.pending
-	remaining := len(pr.rows) - pr.next
-	n := msg.N
+	remaining := pr.res.NumRows() - pr.next
 	if n <= 0 || n > remaining {
 		n = remaining
 	}
-	out := make([][]WireValue, 0, n)
-	for _, row := range pr.rows[pr.next : pr.next+n] {
+	out := make([][]WireValue, n)
+	for i := range out {
+		row := pr.res.Values(pr.next + i)
 		wrow := make([]WireValue, len(row))
 		for j, v := range row {
 			wv, err := EncodeValue(v)
 			if err != nil {
-				c.send(failure(CodeExecutionError, err.Error()))
-				return false
+				return nil, false, err
 			}
 			wrow[j] = wv
 		}
-		out = append(out, wrow)
+		out[i] = wrow
 	}
 	pr.next += n
-	more := pr.next < len(pr.rows)
+	more := pr.next < pr.res.NumRows()
 	if !more {
 		c.pending = nil
 	}
-	return c.send(&Message{Type: MsgSuccess, Rows: out, More: more})
+	return out, more, nil
 }
 
 // handleBegin opens an explicit transaction, claiming a writer slot.
@@ -286,7 +315,11 @@ func (c *conn) cleanup() {
 
 // send writes one frame; false means the connection is broken.
 func (c *conn) send(msg *Message) bool {
-	return WriteFrame(c.nc, msg) == nil
+	err := writeFrame(c.nc, &c.wbuf, msg)
+	if c.wbuf.Cap() > maxKeptWriteBuf {
+		c.wbuf = bytes.Buffer{}
+	}
+	return err == nil
 }
 
 // failure builds a failure message.

@@ -19,7 +19,7 @@
 // Client to server (the "type" field selects):
 //
 //	hello                                  — must be first; negotiates
-//	run    {query, params, mode}           — execute; mode "" | "explain" | "profile"
+//	run    {query, params, mode, n}        — execute; mode "" | "explain" | "profile"
 //	pull   {n}                             — fetch up to n buffered rows (n<=0: all)
 //	begin / commit / rollback              — explicit transaction control
 //	reset                                  — discard pending rows, roll back any open txn
@@ -31,13 +31,19 @@
 //	failure {code, message}
 //
 // RUN executes the statement to completion and buffers the result
-// rows server-side; PULL pages them to the client. Failure frames
+// rows server-side. A run with n > 0 gets the first n rows back in its
+// own success, next to the columns and stats, with more set when rows
+// remain; a run without n gets columns and stats only. PULL pages the
+// remaining buffered rows either way, so a result that fits in n rows
+// costs one round trip. Any RUN first discards the rows still buffered
+// from the previous one, whether or not it succeeds. Failure frames
 // carry a machine-readable code (see the Code* constants); protocol
 // violations are fatal (the server closes the connection after the
 // failure frame), statement-level errors are not.
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -121,8 +127,9 @@ type Message struct {
 	// Mode selects run behaviour: "" executes, "explain" plans without
 	// executing, "profile" executes and returns the annotated plan.
 	Mode string `json:"mode,omitempty"`
-	// N is the maximum number of rows a pull fetches; n <= 0 fetches
-	// all remaining rows.
+	// N is the maximum number of rows a pull fetches (n <= 0 fetches
+	// all remaining rows). On a run, n > 0 asks for up to n rows inline
+	// in the run's success; n <= 0 leaves every row to pull.
 	N int `json:"n,omitempty"`
 
 	// Server identifies the server software in a hello reply.
@@ -131,9 +138,11 @@ type Message struct {
 	Dialect string `json:"dialect,omitempty"`
 	// Columns are the result column names in a run success.
 	Columns []string `json:"columns,omitempty"`
-	// Rows are result records in a pull success.
+	// Rows are result records in a pull success, or in a run success
+	// when the run set n.
 	Rows [][]WireValue `json:"rows,omitempty"`
-	// More reports, in a pull success, whether rows remain buffered.
+	// More reports, in a pull or paged run success, whether rows
+	// remain buffered for pull.
 	More bool `json:"more,omitempty"`
 	// Stats carries update counters in a run/commit success.
 	Stats *WireStats `json:"stats,omitempty"`
@@ -382,17 +391,26 @@ func ReadFrame(r io.Reader, maxFrame int) (*Message, error) {
 	return &msg, nil
 }
 
-// WriteFrame writes one length-prefixed message to w.
+// WriteFrame writes one length-prefixed message to w in a single
+// Write call, so each frame costs one syscall on a network connection.
 func WriteFrame(w io.Writer, msg *Message) error {
-	body, err := json.Marshal(msg)
-	if err != nil {
+	var buf bytes.Buffer
+	return writeFrame(w, &buf, msg)
+}
+
+// writeFrame encodes msg behind its length prefix into buf (reset
+// first) and writes header and body together. The body is exactly
+// json.Marshal's output: Encoder marshals the same way and its trailing
+// newline is cut before the length is filled in.
+func writeFrame(w io.Writer, buf *bytes.Buffer, msg *Message) error {
+	buf.Reset()
+	buf.Write([]byte{0, 0, 0, 0})
+	if err := json.NewEncoder(buf).Encode(msg); err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	buf.Truncate(buf.Len() - 1)
+	frame := buf.Bytes()
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
 }
